@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-overhead bench-parallel bench-serve bench-hotpath bench-alloc bench-batch repro repro-parallel fuzz faultcamp serve loadtest scrape serve-smoke chaos cluster cluster-smoke clean
+.PHONY: check build vet test race bench bench-overhead bench-sim bench-serve bench-hotpath bench-alloc bench-batch repro repro-parallel fuzz faultcamp serve loadtest scrape serve-smoke chaos cluster cluster-smoke clean
 
 # check is the CI gate: build, vet, race-enabled tests.
 check: build vet race
@@ -21,11 +21,11 @@ race:
 bench:
 	$(GO) test -bench 'AccessPDP8' -benchtime 2s -count 5 -run @ .
 
-# Parallel engine benchmark: the repro suite's wall-clock at -jobs 1/2/8,
-# recorded into BENCH_parallel.json (the -jobs 1 output is the baseline the
-# others are diffed against, so this doubles as a determinism check).
-bench-parallel:
-	./scripts/bench_parallel.sh
+# Simulator host cost: the repo benchmark's sim-repro workload (fig10,
+# fig11 and fig9 at scale 0.01, tables checked by digest), with its
+# ops_per_s, setup_s and the fig11 Jobs 1 vs 2 speedup (see perfbench/).
+bench-sim:
+	bash perfbench/run.sh --workload sim-repro --seed 1 --seconds 30 --trace 0
 
 repro:
 	$(GO) run ./cmd/repro all

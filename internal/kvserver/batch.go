@@ -162,7 +162,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(out); err != nil {
-		s.serveError("/batch", requestID(r), err)
+		s.serveError("/batch", requestID(w), err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -83,6 +84,45 @@ func TestRequestIDHeader(t *testing.T) {
 			t.Fatalf("generated id %q (seen=%v)", id, seen)
 		}
 		seen[id] = true
+	}
+}
+
+// unwrapWriter is a handler-side ResponseWriter wrapper, as a compressing
+// or buffering handler would add.
+type unwrapWriter struct{ http.ResponseWriter }
+
+func (w unwrapWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+// TestRequestIDReachesHandler: inside an instrumented handler,
+// requestID finds the id the response carries, echoed or generated,
+// also through a wrapper's Unwrap chain; outside one it is empty.
+func TestRequestIDReachesHandler(t *testing.T) {
+	cache, err := kvcache.New(kvcache.Config{Shards: 1, Sets: 4, Ways: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(cache, Config{Addr: "127.0.0.1:0", Registry: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inner string
+	h := srv.instrument("/id", func(w http.ResponseWriter, r *http.Request) {
+		inner = requestID(unwrapWriter{w})
+	})
+	for _, sent := range []string{"trace-abc-123", ""} {
+		req := httptest.NewRequest(http.MethodGet, "/id", nil)
+		if sent != "" {
+			req.Header.Set("X-Request-Id", sent)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		got := rec.Header().Get("X-Request-Id")
+		if got == "" || inner != got || (sent != "" && got != sent) {
+			t.Fatalf("sent %q: header %q, handler saw %q", sent, got, inner)
+		}
+	}
+	if id := requestID(httptest.NewRecorder()); id != "" {
+		t.Fatalf("uninstrumented writer has id %q", id)
 	}
 }
 

@@ -1,7 +1,6 @@
 package kvserver
 
 import (
-	"context"
 	"io"
 	"net/http"
 	"strconv"
@@ -11,28 +10,39 @@ import (
 	"pdp/internal/telemetry"
 )
 
-// reqIDKey carries the request ID through the handler's context so error
-// paths can attribute journal records to the request that hit them.
-type reqIDKey struct{}
-
-// requestID returns the X-Request-Id assigned to r by the middleware (""
-// outside an instrumented handler).
-func requestID(r *http.Request) string {
-	id, _ := r.Context().Value(reqIDKey{}).(string)
-	return id
+// requestID returns the X-Request-Id the middleware assigned to the
+// request w answers, found through w's Unwrap chain ("" outside an
+// instrumented handler). Error paths use it to attribute journal records
+// to the request that hit them.
+func requestID(w http.ResponseWriter) string {
+	for {
+		switch v := w.(type) {
+		case *statusWriter:
+			return v.id
+		case interface{ Unwrap() http.ResponseWriter }:
+			w = v.Unwrap()
+		default:
+			return ""
+		}
+	}
 }
 
 // statusWriter captures the status code a handler writes; an untouched
-// writer reports 200, matching net/http's implicit WriteHeader. It
-// passes the optional upgrade interfaces net/http's writer implements —
+// writer reports 200, matching net/http's implicit WriteHeader. It also
+// carries the request's X-Request-Id for requestID. It passes the
+// optional upgrade interfaces net/http's writer implements —
 // http.Flusher and io.ReaderFrom — through to the wrapped writer, so
 // streaming handlers and sendfile-style copies keep working under the
 // instrumented path instead of silently losing the capability to the
-// wrapper's narrower static type.
+// wrapper's narrower static type. Writers are pooled: one lives only for
+// the duration of its handler call.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	id     string
 }
+
+var statusWriters = sync.Pool{New: func() any { return new(statusWriter) }}
 
 func (w *statusWriter) WriteHeader(code int) {
 	w.status = code
@@ -143,8 +153,8 @@ func (m *routeMetrics) counter(method string, status int) *telemetry.Counter {
 // instrument wraps a handler with the serving-path observability
 // middleware: a per-route nanosecond latency histogram, a
 // route/method/status request counter, and an X-Request-Id response
-// header (the client's, if it sent one, else a generated id) that is
-// also threaded into the request context for journal attribution.
+// header (the client's, if it sent one, else a generated id) that
+// requestID also reads for journal attribution.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 	m := &routeMetrics{
 		name:    route,
@@ -153,18 +163,29 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 	}
 	s.routes = append(s.routes, m)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-Id")
-		if id == "" {
-			id = "r-" + strconv.FormatUint(s.reqSeq.Add(1), 10)
+		sw := statusWriters.Get().(*statusWriter)
+		sw.ResponseWriter, sw.status = w, http.StatusOK
+		if v := r.Header[reqIDHeader]; len(v) > 0 && v[0] != "" {
+			// Echo the client's id, sharing its header value slice.
+			sw.id = v[0]
+			w.Header()[reqIDHeader] = v[:1:1]
+		} else {
+			var buf [24]byte
+			sw.id = string(strconv.AppendUint(append(buf[:0], "r-"...), s.reqSeq.Add(1), 10))
+			w.Header()[reqIDHeader] = []string{sw.id}
 		}
-		w.Header().Set("X-Request-Id", id)
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		t := telemetry.StartTimer()
-		h(sw, r.WithContext(context.WithValue(r.Context(), reqIDKey{}, id)))
+		h(sw, r)
 		t.ObserveInto(m.latency)
 		m.counter(r.Method, sw.status).Inc()
+		*sw = statusWriter{}
+		statusWriters.Put(sw)
 	})
 }
+
+// reqIDHeader is X-Request-Id in canonical form, the key net/http stores
+// it under in a Header map.
+const reqIDHeader = "X-Request-Id"
 
 // getOnly rejects every method but GET with 405 (and an Allow header, as
 // RFC 9110 requires) before the wrapped handler runs. Composed inside

@@ -129,6 +129,6 @@ func (s *Server) handleClusterRing(w http.ResponseWriter, r *http.Request) {
 	v := s.cfg.Cluster.StatsView(r.URL.Query().Get("key"))
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.serveError("/cluster/ring", requestID(r), err)
+		s.serveError("/cluster/ring", requestID(w), err)
 	}
 }

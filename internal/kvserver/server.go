@@ -414,7 +414,7 @@ func (s *Server) protect(route string, h http.HandlerFunc) http.HandlerFunc {
 			defer cancel()
 			r = r.WithContext(ctx)
 		}
-		switch err := s.gate.Enter(ctx, route, requestID(r)); err {
+		switch err := s.gate.Enter(ctx, route, requestID(w)); err {
 		case nil:
 			defer s.gate.Exit()
 		case servefault.ErrShed:
@@ -692,7 +692,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		s.serveError("/stats", requestID(r), err)
+		s.serveError("/stats", requestID(w), err)
 	}
 }
 
@@ -703,7 +703,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.cache.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.cfg.Registry.WriteProm(w); err != nil {
-		s.serveError("/metrics", requestID(r), err)
+		s.serveError("/metrics", requestID(w), err)
 	}
 }
 
@@ -744,7 +744,7 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		s.serveError("/debug/decisions", requestID(r), err)
+		s.serveError("/debug/decisions", requestID(w), err)
 	}
 }
 
@@ -754,7 +754,7 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	if _, err := io.WriteString(w, "ok\n"); err != nil {
-		s.serveError("/healthz", requestID(r), err)
+		s.serveError("/healthz", requestID(w), err)
 	}
 }
 
@@ -784,6 +784,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		s.serveError("/readyz", requestID(r), err)
+		s.serveError("/readyz", requestID(w), err)
 	}
 }

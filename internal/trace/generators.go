@@ -1,6 +1,9 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // LineSize is the cache line size in bytes used throughout the repository
 // (paper Table 1: 64B lines).
@@ -76,19 +79,32 @@ func (s RDDSpec) Validate() error {
 	return nil
 }
 
-// rddSet holds per-set generation state for RDDGen.
+// rddSet holds per-set generation state for RDDGen. Its rings hold line tags
+// (see RDDGen) and are windows into the generator's two slabs; tag 0 marks
+// an empty slot.
 type rddSet struct {
-	hist    []uint64         // ring buffer of the last len(hist) line addresses
-	lastPos map[uint64]int64 // most recent access index per live address
-	count   int64            // accesses to this set so far
-	retired []uint64         // ring of old addresses usable for "far" reuse
+	hist    []uint32 // ring of the tags of the set's last histLen accesses
+	count   int64    // accesses to this set so far
+	retired []uint32 // ring of old tags usable for "far" reuse
 	retPos  int
 }
+
+// forgotten is RDDGen.lastPos's mark for a tag that can no longer be reused.
+const forgotten = -1
 
 // RDDGen generates accesses whose set-level reuse distances follow an
 // RDDSpec. It models the set-index mapping of the target cache directly, so
 // the distances it produces are exactly the quantity the PDP paper's RD
 // sampler measures.
+//
+// Each fresh line gets the next tag, counting from 1; line tag of set s has
+// address base | (tag*sets+s)*LineSize, so a tag names one line in one set.
+// The state is flat and indexed by tag. lastPos grows by one int64 per
+// fresh line, bounded by the accesses drawn (about 6 MB for a repro window
+// of 1.3M accesses). The per-set hist
+// and retired rings hold 4-byte tags and are windows into two slabs of
+// sets*histLen and sets*retCap tags, so building a generator makes the same
+// few allocations at any set count.
 type RDDGen struct {
 	name    string
 	spec    RDDSpec
@@ -97,7 +113,11 @@ type RDDGen struct {
 	seed    uint64
 	rng     *RNG
 	state   []rddSet
-	nextTag uint64
+	histBuf []uint32 // slab behind every set's hist ring
+	retBuf  []uint32 // slab behind every set's retired ring
+	// lastPos is the set access index of each tag's most recent use, or
+	// forgotten once it can no longer be reused. Its length is the next tag.
+	lastPos []int64
 	histLen int
 	retCap  int
 	farMinD int
@@ -145,25 +165,24 @@ func NewRDDGen(name string, spec RDDSpec, sets int, base, seed uint64) *RDDGen {
 // Name implements Generator.
 func (g *RDDGen) Name() string { return g.name }
 
-// Reset implements Generator.
+// Reset implements Generator. It reuses the slabs of an earlier run.
 func (g *RDDGen) Reset() {
 	g.rng = NewRNG(g.seed)
-	g.state = make([]rddSet, g.sets)
+	if g.state == nil {
+		g.state = make([]rddSet, g.sets)
+		g.histBuf = make([]uint32, g.sets*g.histLen)
+		g.retBuf = make([]uint32, g.sets*g.retCap)
+	} else {
+		clear(g.histBuf)
+	}
 	for i := range g.state {
+		h, r := i*g.histLen, i*g.retCap
 		g.state[i] = rddSet{
-			hist:    make([]uint64, g.histLen),
-			lastPos: make(map[uint64]int64, g.histLen+g.retCap),
-			retired: make([]uint64, 0, g.retCap),
+			hist:    g.histBuf[h : h+g.histLen : h+g.histLen],
+			retired: g.retBuf[r : r : r+g.retCap],
 		}
 	}
-	g.nextTag = 1
-}
-
-// freshAddr returns a line address never used before that maps to set s.
-func (g *RDDGen) freshAddr(s int) uint64 {
-	a := g.base | (g.nextTag*uint64(g.sets)+uint64(s))*LineSize
-	g.nextTag++
-	return a
+	g.lastPos = append(g.lastPos[:0], forgotten) // tag 0 is never a line
 }
 
 // Next implements Generator.
@@ -172,7 +191,7 @@ func (g *RDDGen) Next() Access {
 	st := &g.state[s]
 
 	u := g.rng.Float64()
-	var addr uint64
+	var tag uint32
 	pc := g.pcNew
 	nPeaks := len(g.spec.Peaks)
 	chosen := -1 // -1 fresh, [0..nPeaks) peak i, nPeaks far
@@ -191,37 +210,41 @@ func (g *RDDGen) Next() Access {
 				d = 1
 			}
 		}
-		addr = g.reuseAt(st, int64(d))
+		tag = g.reuseAt(st, int64(d))
 		pc = g.pcPeak[chosen]
 	case chosen == nPeaks: // far reuse
 		for try := 0; try < 4 && len(st.retired) > 0; try++ {
 			cand := st.retired[g.rng.Intn(len(st.retired))]
-			if p, ok := st.lastPos[cand]; ok && st.count-p >= int64(g.farMinD) {
-				addr = cand
+			if p := g.lastPos[cand]; p != forgotten && st.count-p >= int64(g.farMinD) {
+				tag = cand
 				pc = g.pcFar
 				break
 			}
 		}
 	}
-	if addr == 0 {
-		addr = g.freshAddr(s)
+	if tag == 0 {
+		if uint64(len(g.lastPos)) > math.MaxUint32 {
+			panic("trace: RDDGen ran out of line tags")
+		}
+		tag = uint32(len(g.lastPos))
+		g.lastPos = append(g.lastPos, forgotten)
 		pc = g.pcNew
 	}
-	g.record(st, addr)
+	g.record(st, tag)
 	return Access{
-		Addr:  addr,
+		Addr:  g.base | (uint64(tag)*uint64(g.sets)+uint64(s))*LineSize,
 		PC:    pc,
 		Write: g.rng.Bernoulli(g.spec.WriteFrac),
 	}
 }
 
-// reuseAt returns the address whose most recent use in st was exactly d
-// accesses ago, or 0 if no such address exists (then the caller falls back
-// to a fresh line, which only adds mass to the "fresh" bucket).
-func (g *RDDGen) reuseAt(st *rddSet, d int64) uint64 {
-	// Try the exact distance, then wiggle outwards a little: an address seen
-	// at distance d may have been re-touched since (its RD would be wrong),
-	// in which case a neighbor usually works.
+// reuseAt returns the tag whose most recent use in st was exactly d
+// accesses ago, or 0 if no such tag exists (then the caller falls back to a
+// fresh line, which only adds mass to the "fresh" bucket).
+func (g *RDDGen) reuseAt(st *rddSet, d int64) uint32 {
+	// Try the exact distance, then wiggle outwards a little: a line seen at
+	// distance d may have been re-touched since (its RD would be wrong), in
+	// which case a neighbor usually works.
 	for _, delta := range []int64{0, 1, -1, 2, -2, 3, -3} {
 		dd := d + delta
 		idx := st.count - dd
@@ -232,35 +255,34 @@ func (g *RDDGen) reuseAt(st *rddSet, d int64) uint64 {
 		if cand == 0 {
 			continue
 		}
-		if p, ok := st.lastPos[cand]; ok && p == idx {
+		if g.lastPos[cand] == idx {
 			return cand
 		}
 	}
 	return 0
 }
 
-// record appends addr to the set's history, retiring whatever falls out of
-// the window so that "far" reuse candidates exist and the map stays bounded.
-func (g *RDDGen) record(st *rddSet, addr uint64) {
+// record appends tag to the set's history, retiring whatever falls out of
+// the window so that "far" reuse candidates exist, and forgetting what falls
+// out of the retired ring.
+func (g *RDDGen) record(st *rddSet, tag uint32) {
 	slot := st.count % int64(g.histLen)
 	out := st.hist[slot]
-	if out != 0 {
-		if p, ok := st.lastPos[out]; ok && p == st.count-int64(g.histLen) {
-			// Most recent use of `out` is leaving the window.
-			if len(st.retired) < g.retCap {
-				st.retired = append(st.retired, out)
-			} else {
-				old := st.retired[st.retPos]
-				if q, ok2 := st.lastPos[old]; ok2 && q <= st.count-int64(g.histLen) {
-					delete(st.lastPos, old)
-				}
-				st.retired[st.retPos] = out
-				st.retPos = (st.retPos + 1) % g.retCap
+	if out != 0 && g.lastPos[out] == st.count-int64(g.histLen) {
+		// Most recent use of `out` is leaving the window.
+		if len(st.retired) < g.retCap {
+			st.retired = append(st.retired, out)
+		} else {
+			old := st.retired[st.retPos]
+			if g.lastPos[old] <= st.count-int64(g.histLen) {
+				g.lastPos[old] = forgotten
 			}
+			st.retired[st.retPos] = out
+			st.retPos = (st.retPos + 1) % g.retCap
 		}
 	}
-	st.hist[slot] = addr
-	st.lastPos[addr] = st.count
+	st.hist[slot] = tag
+	g.lastPos[tag] = st.count
 	st.count++
 }
 

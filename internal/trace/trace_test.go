@@ -306,3 +306,45 @@ func TestConstructorPanics(t *testing.T) {
 	})
 	mustPanic("RDDGen bad sets", func() { NewRDDGen("x", RDDSpec{}, 0, 0, 0) })
 }
+
+// gccSpec is workload 403.gcc's RDD: two short peaks, mostly fresh lines.
+var gccSpec = RDDSpec{
+	Peaks: []Peak{{Dist: 6, Weight: 0.25}, {Dist: 20, Weight: 0.12}},
+	Fresh: 0.55, Far: 0.08, Spread: 2, WriteFrac: 0.25,
+}
+
+// TestNewRDDGenAllocsIndependentOfSets guards RDDGen's flat layout: building
+// a generator for a paper-sized LLC must not allocate per set.
+func TestNewRDDGenAllocsIndependentOfSets(t *testing.T) {
+	allocs := func(sets int) float64 {
+		return testing.AllocsPerRun(3, func() { NewRDDGen("a", gccSpec, sets, 1, 1) })
+	}
+	small, large := allocs(64), allocs(2048)
+	if small != large {
+		t.Fatalf("NewRDDGen allocates %v times at 64 sets but %v at 2048", small, large)
+	}
+}
+
+func BenchmarkNewRDDGen(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewRDDGen("b", gccSpec, 2048, 1, uint64(i))
+	}
+}
+
+// BenchmarkRDDGenNext draws from a 2048-set generator, restarting it every
+// 2^20 accesses (untimed) so the fresh-line state stays at a simulator
+// run's size however large b.N grows.
+func BenchmarkRDDGenNext(b *testing.B) {
+	g := NewRDDGen("b", gccSpec, 2048, 1, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i&(1<<20-1) == 0 && i > 0 {
+			b.StopTimer()
+			g.Reset()
+			b.StartTimer()
+		}
+		g.Next()
+	}
+}
