@@ -131,13 +131,18 @@ type Result struct {
 	VictimAddr uint64
 }
 
+// emptyTag marks a way that holds no line. No address maps to it: a tag
+// is the address shifted right by lineShift+setShift bits, and New
+// rejects the one geometry (LineSize 1, Sets 1) where that shift is 0.
+const emptyTag = ^uint64(0)
+
 // Cache is a set-associative cache with an attached policy.
 type Cache struct {
 	cfg       Config
 	lineShift uint
+	tagShift  uint // lineShift + log2(Sets)
 	setMask   uint64
-	tags      []uint64
-	valid     []bool
+	tags      []uint64 // emptyTag for an empty way
 	dirty     []bool
 	setAccs   []uint64
 	pol       Policy
@@ -159,20 +164,28 @@ func New(cfg Config, pol Policy) *Cache {
 	if cfg.LineSize <= 0 || cfg.LineSize&(cfg.LineSize-1) != 0 {
 		panic(fmt.Sprintf("cache %s: LineSize=%d must be a positive power of two", cfg.Name, cfg.LineSize))
 	}
+	if cfg.LineSize == 1 && cfg.Sets == 1 {
+		panic(fmt.Sprintf("cache %s: LineSize 1 with Sets 1 leaves no tag bit free for the empty-way marker", cfg.Name))
+	}
 	if pol == nil {
 		panic(fmt.Sprintf("cache %s: nil policy", cfg.Name))
 	}
 	n := cfg.Sets * cfg.Ways
-	return &Cache{
+	lineShift := uint(bits.TrailingZeros(uint(cfg.LineSize)))
+	c := &Cache{
 		cfg:       cfg,
-		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
+		lineShift: lineShift,
+		tagShift:  lineShift + uint(bits.TrailingZeros(uint(cfg.Sets))),
 		setMask:   uint64(cfg.Sets - 1),
 		tags:      make([]uint64, n),
-		valid:     make([]bool, n),
 		dirty:     make([]bool, n),
 		setAccs:   make([]uint64, cfg.Sets),
 		pol:       pol,
 	}
+	for i := range c.tags {
+		c.tags[i] = emptyTag
+	}
+	return c
 }
 
 // Config returns the cache configuration.
@@ -197,14 +210,14 @@ func (c *Cache) SetOf(addr uint64) int {
 
 // TagOf returns the tag of addr.
 func (c *Cache) TagOf(addr uint64) uint64 {
-	return (addr >> c.lineShift) / uint64(c.cfg.Sets)
+	return addr >> c.tagShift
 }
 
 // SetAccesses returns the number of accesses seen by set so far.
 func (c *Cache) SetAccesses(set int) uint64 { return c.setAccs[set] }
 
 // Valid reports whether (set, way) holds a line.
-func (c *Cache) Valid(set, way int) bool { return c.valid[set*c.cfg.Ways+way] }
+func (c *Cache) Valid(set, way int) bool { return c.tags[set*c.cfg.Ways+way] != emptyTag }
 
 // LineAddr reconstructs the line-aligned address stored in (set, way).
 func (c *Cache) LineAddr(set, way int) uint64 {
@@ -212,16 +225,21 @@ func (c *Cache) LineAddr(set, way int) uint64 {
 	return (tag*uint64(c.cfg.Sets) + uint64(set)) << c.lineShift
 }
 
-// Contains reports whether addr's line is resident (no state change).
-func (c *Cache) Contains(addr uint64) bool {
-	set, tag := c.SetOf(addr), c.TagOf(addr)
+// lookup returns the way of set holding tag, if any.
+func (c *Cache) lookup(set int, tag uint64) (way int, ok bool) {
 	base := set * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
-			return true
+	for w, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == tag {
+			return w, true
 		}
 	}
-	return false
+	return -1, false
+}
+
+// Contains reports whether addr's line is resident (no state change).
+func (c *Cache) Contains(addr uint64) bool {
+	_, ok := c.lookup(c.SetOf(addr), c.TagOf(addr))
+	return ok
 }
 
 // Access runs one reference through the cache.
@@ -235,31 +253,23 @@ func (c *Cache) Access(acc trace.Access) Result {
 	c.setAccs[set]++
 
 	// Hit path.
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
-			c.Stats.Hits++
-			if acc.Write {
-				c.dirty[base+w] = true
-			}
-			c.pol.Hit(set, w, acc)
-			c.emit(Event{Kind: EvHit, Set: set, Way: w, Addr: c.LineAddr(set, w), SetAccesses: c.setAccs[set], Acc: acc})
-			c.pol.PostAccess(set, acc)
-			return Result{Hit: true, Set: set, Way: w}
+	if w, ok := c.lookup(set, tag); ok {
+		c.Stats.Hits++
+		if acc.Write {
+			c.dirty[base+w] = true
 		}
+		c.pol.Hit(set, w, acc)
+		c.emit(Event{Kind: EvHit, Set: set, Way: w, Addr: c.LineAddr(set, w), SetAccesses: c.setAccs[set], Acc: acc})
+		c.pol.PostAccess(set, acc)
+		return Result{Hit: true, Set: set, Way: w}
 	}
 
-	// Miss path.
+	// Miss path: fill the first empty way, else ask the policy.
 	c.Stats.Misses++
 	res := Result{Set: set}
 
-	way := -1
-	for w := 0; w < c.cfg.Ways; w++ {
-		if !c.valid[base+w] {
-			way = w
-			break
-		}
-	}
-	if way < 0 {
+	way, free := c.lookup(set, emptyTag)
+	if !free {
 		v, bypass := c.pol.Victim(set, acc)
 		if bypass {
 			if !c.cfg.AllowBypass {
@@ -289,7 +299,6 @@ func (c *Cache) Access(acc trace.Access) Result {
 	}
 
 	c.tags[base+way] = tag
-	c.valid[base+way] = true
 	c.dirty[base+way] = acc.Write
 	c.Stats.Inserts++
 	res.Way = way

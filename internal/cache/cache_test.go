@@ -432,3 +432,47 @@ func TestMonitorEvictEventOnDirtyVictim(t *testing.T) {
 		t.Fatalf("last event = %+v, want write EvBypass", last)
 	}
 }
+
+func TestEmptyTagSentinel(t *testing.T) {
+	// LineSize 1 with Sets 1 makes the tag the whole address, so the
+	// empty-way marker would collide with address ^0.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("expected panic for LineSize 1, Sets 1")
+			}
+		}()
+		New(Config{Sets: 1, Ways: 4, LineSize: 1}, NewLRU(1, 4))
+	}()
+	if c := New(Config{Sets: 2, Ways: 4, LineSize: 1}, NewLRU(2, 4)); c.TagOf(^uint64(0)) == emptyTag {
+		t.Fatal("one tag bit shifted out must keep every tag below the marker")
+	}
+
+	l1 := New(Config{Name: "L1", Sets: 1, Ways: 4, LineSize: 64}, NewLRU(1, 4))
+	llc := New(Config{Name: "LLC", Sets: 1, Ways: 2, LineSize: 64}, NewLRU(1, 2))
+	h := NewHierarchy(l1, llc)
+	h.SetInclusive(true)
+	for w := 0; w < l1.Ways(); w++ {
+		if l1.Valid(0, w) {
+			t.Fatalf("fresh cache: way %d reported valid", w)
+		}
+	}
+	h.Access(trace.Access{Addr: addr(1, 0, 0), Write: true}) // L1 way 0, dirty
+	h.Access(trace.Access{Addr: addr(1, 0, 1)})              // L1 way 1
+	h.Access(trace.Access{Addr: addr(1, 0, 2)})              // LLC evicts tag 0: back-invalidated from L1 way 0
+	if h.BackInvalidations != 1 {
+		t.Fatalf("back-invalidations = %d, want 1", h.BackInvalidations)
+	}
+	if l1.Valid(0, 0) || l1.Contains(addr(1, 0, 0)) || l1.dirty[0] {
+		t.Fatal("back-invalidated way must read empty and clean")
+	}
+	if !l1.Valid(0, 1) || !l1.Valid(0, 2) || l1.Valid(0, 3) {
+		t.Fatal("only ways 1 and 2 should hold lines")
+	}
+	if r := l1.Access(trace.Access{Addr: addr(1, 0, 3)}); r.Hit || r.Evicted || r.Way != 0 {
+		t.Fatalf("next miss = %+v, want a fill of the emptied way 0 without eviction", r)
+	}
+	if !l1.Valid(0, 0) || l1.LineAddr(0, 0) != addr(1, 0, 3) {
+		t.Fatal("refilled way 0 must hold the new line")
+	}
+}

@@ -78,16 +78,13 @@ func (h *Hierarchy) access(acc trace.Access, lvl int) int {
 func (h *Hierarchy) backInvalidate(addr uint64, lvl int) {
 	for l := lvl; l >= 0; l-- {
 		c := h.levels[l]
-		set, tag := c.SetOf(addr), c.TagOf(addr)
-		base := set * c.Ways()
-		for w := 0; w < c.Ways(); w++ {
-			if c.valid[base+w] && c.tags[base+w] == tag {
-				c.pol.Evict(set, w)
-				c.valid[base+w] = false
-				c.dirty[base+w] = false
-				h.BackInvalidations++
-				break
-			}
+		set := c.SetOf(addr)
+		if w, ok := c.lookup(set, c.TagOf(addr)); ok {
+			c.pol.Evict(set, w)
+			i := set*c.Ways() + w
+			c.tags[i] = emptyTag
+			c.dirty[i] = false
+			h.BackInvalidations++
 		}
 	}
 }
@@ -99,17 +96,8 @@ func (h *Hierarchy) writeback(addr uint64, lvl int) {
 		return // absorbed by memory
 	}
 	c := h.levels[lvl]
-	wb := trace.Access{Addr: addr, Write: true, WB: true}
-	set, tag := c.SetOf(addr), c.TagOf(addr)
-	found := false
-	for w := 0; w < c.Ways(); w++ {
-		if c.Valid(set, w) && c.tags[set*c.Ways()+w] == tag {
-			found = true
-			break
-		}
-	}
-	if found {
-		c.Access(wb) // hit: marks line dirty, updates policy state
+	if c.Contains(addr) {
+		c.Access(trace.Access{Addr: addr, Write: true, WB: true}) // hit: marks line dirty, updates policy state
 		return
 	}
 	// Forward without allocating; the next level sees it as an access so

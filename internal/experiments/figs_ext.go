@@ -38,9 +38,9 @@ func OptGap(cfg Config) error {
 		runs []RunResult
 	}
 	rowsP, err := parallel.Map(cfg.jobs(), len(suite), func(i int) (optRow, error) {
-		b := suite[i]
+		stream := newRowStream(cfg, suite[i], cfg.Accesses)
 		// Record the same access window OPT will consume.
-		g := b.Generator(LLCSets, 1, cfg.Seed)
+		g := stream.replay().Generator(LLCSets, 1, cfg.Seed)
 		for j := Warmup(cfg.Accesses); j > 0; j-- {
 			g.Next()
 		}
@@ -49,9 +49,10 @@ func OptGap(cfg Config) error {
 		if err != nil {
 			return optRow{}, err
 		}
-		row := optRow{ost: ost, base: RunSingle(cfg.Bench(b), specDIP(), cfg.Accesses, cfg.Seed)}
+		b := stream.bench()
+		row := optRow{ost: ost, base: RunSingle(b, specDIP(), cfg.Accesses, cfg.Seed)}
 		for _, s := range specs {
-			row.runs = append(row.runs, RunSingle(cfg.Bench(b), s, cfg.Accesses, cfg.Seed))
+			row.runs = append(row.runs, RunSingle(b, s, cfg.Accesses, cfg.Seed))
 		}
 		return row, nil
 	})
@@ -122,11 +123,13 @@ func ClassPDPExp(cfg Config) error {
 	specs := []PolicySpec{specSDP(), ship, aip, specPDP(8, recompute), specClassPDP(8, recompute)}
 	suite := workload.Suite()
 	// Column 0 is the DIP base, columns 1.. follow specs.
+	streams := newRowStreams(cfg, suite, cfg.Accesses, 1+len(specs))
 	grid, err := parallel.Grid(cfg.jobs(), len(suite), 1+len(specs), func(r, c int) (RunResult, error) {
+		defer streams[r].done()
 		if c == 0 {
-			return RunSingle(cfg.Bench(suite[r]), specDIP(), cfg.Accesses, cfg.Seed), nil
+			return RunSingle(streams[r].bench(), specDIP(), cfg.Accesses, cfg.Seed), nil
 		}
-		return RunSingle(cfg.Bench(suite[r]), specs[c-1], cfg.Accesses, cfg.Seed), nil
+		return RunSingle(streams[r].bench(), specs[c-1], cfg.Accesses, cfg.Seed), nil
 	})
 	if err != nil {
 		return err
@@ -166,11 +169,13 @@ func Energy(cfg Config) error {
 	model := cpu.DefaultEnergy()
 	specs := []PolicySpec{specDRRIP(1.0 / 32), specSDP(), specPDP(8, recompute)}
 	suite := workload.Suite()
+	streams := newRowStreams(cfg, suite, cfg.Accesses, 1+len(specs))
 	grid, err := parallel.Grid(cfg.jobs(), len(suite), 1+len(specs), func(r, c int) (RunResult, error) {
+		defer streams[r].done()
 		if c == 0 {
-			return RunSingle(cfg.Bench(suite[r]), specDIP(), cfg.Accesses, cfg.Seed), nil
+			return RunSingle(streams[r].bench(), specDIP(), cfg.Accesses, cfg.Seed), nil
 		}
-		return RunSingle(cfg.Bench(suite[r]), specs[c-1], cfg.Accesses, cfg.Seed), nil
+		return RunSingle(streams[r].bench(), specs[c-1], cfg.Accesses, cfg.Seed), nil
 	})
 	if err != nil {
 		return err
@@ -262,10 +267,11 @@ func Timing(cfg Config) error {
 	rows, err := parallel.Map(cfg.jobs(), len(suite), func(i int) (timedRow, error) {
 		var row timedRow
 		var err error
-		if row.aDIP, row.sDIP, err = runTimed(suite[i], specDIP(), cfg.Accesses, cfg.Seed); err != nil {
+		b := newRowStream(cfg, suite[i], cfg.Accesses).replay()
+		if row.aDIP, row.sDIP, err = runTimed(b, specDIP(), cfg.Accesses, cfg.Seed); err != nil {
 			return row, err
 		}
-		row.aPDP, row.sPDP, err = runTimed(suite[i], specPDP(8, recompute), cfg.Accesses, cfg.Seed)
+		row.aPDP, row.sPDP, err = runTimed(b, specPDP(8, recompute), cfg.Accesses, cfg.Seed)
 		return row, err
 	})
 	if err != nil {

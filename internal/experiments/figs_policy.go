@@ -40,12 +40,14 @@ func Fig2(cfg Config) error {
 		bs[i] = b
 	}
 	// Column 0 is the epsilon = 1/32 normalization base.
+	streams := newRowStreams(cfg, bs, cfg.Accesses, 1+len(epsilons))
 	grid, err := parallel.Grid(cfg.jobs(), len(bs), 1+len(epsilons), func(r, c int) (RunResult, error) {
+		defer streams[r].done()
 		eps := 1.0 / 32
 		if c > 0 {
 			eps = epsilons[c-1]
 		}
-		return RunSingle(cfg.Bench(bs[r]), specDRRIP(eps), cfg.Accesses, cfg.Seed), nil
+		return RunSingle(streams[r].bench(), specDRRIP(eps), cfg.Accesses, cfg.Seed), nil
 	})
 	if err != nil {
 		return err
@@ -68,7 +70,8 @@ func Fig2(cfg Config) error {
 }
 
 // bestOver runs spec builders over a grid and returns the result with the
-// fewest misses, together with its grid value.
+// fewest misses, together with its grid value. Callers pass a row stream's
+// bench, so the sweep replays one recorded stream.
 func bestOver[T any](b workload.Benchmark, grid []T, mk func(T) PolicySpec, n int, seed uint64) (RunResult, T) {
 	var best RunResult
 	var bestV T
@@ -94,11 +97,11 @@ func Fig4(cfg Config) error {
 	}
 	all := workload.All()
 	rows, err := parallel.Map(cfg.jobs(), len(all), func(i int) (row, error) {
-		b := all[i]
-		base := RunSingle(cfg.Bench(b), specDRRIP(1.0/32), cfg.Accesses, cfg.Seed)
-		bd, _ := bestOver(cfg.Bench(b), epsilons, specDRRIP, cfg.Accesses, cfg.Seed)
-		bnb, pdNB := bestOver(cfg.Bench(b), staticPDs(), func(pd int) PolicySpec { return specSPDP(pd, false) }, cfg.Accesses, cfg.Seed)
-		bb, pdB := bestOver(cfg.Bench(b), staticPDs(), func(pd int) PolicySpec { return specSPDP(pd, true) }, cfg.Accesses, cfg.Seed)
+		b := newRowStream(cfg, all[i], cfg.Accesses).bench()
+		base := RunSingle(b, specDRRIP(1.0/32), cfg.Accesses, cfg.Seed)
+		bd, _ := bestOver(b, epsilons, specDRRIP, cfg.Accesses, cfg.Seed)
+		bnb, pdNB := bestOver(b, staticPDs(), func(pd int) PolicySpec { return specSPDP(pd, false) }, cfg.Accesses, cfg.Seed)
+		bb, pdB := bestOver(b, staticPDs(), func(pd int) PolicySpec { return specSPDP(pd, true) }, cfg.Accesses, cfg.Seed)
 		return row{
 			rd:   metrics.Reduction(float64(bd.Stats.Misses), float64(base.Stats.Misses)),
 			rnb:  metrics.Reduction(float64(bnb.Stats.Misses), float64(base.Stats.Misses)),
@@ -198,13 +201,15 @@ func Fig5a(cfg Config) error {
 		if !ok {
 			return section{}, fmt.Errorf("unknown benchmark %s", names[i])
 		}
-		// Use each policy's best static PD from a quick sweep.
-		_, pdNB := bestOver(cfg.Bench(b), staticPDs(), func(pd int) PolicySpec { return specSPDP(pd, false) }, cfg.Accesses/2, cfg.Seed)
-		_, pdB := bestOver(cfg.Bench(b), staticPDs(), func(pd int) PolicySpec { return specSPDP(pd, true) }, cfg.Accesses/2, cfg.Seed)
+		// Use each policy's best static PD from a quick sweep; the sweep's
+		// shorter windows replay a prefix of the row's recording.
+		rb := newRowStream(cfg, b, cfg.Accesses).bench()
+		_, pdNB := bestOver(rb, staticPDs(), func(pd int) PolicySpec { return specSPDP(pd, false) }, cfg.Accesses/2, cfg.Seed)
+		_, pdB := bestOver(rb, staticPDs(), func(pd int) PolicySpec { return specSPDP(pd, true) }, cfg.Accesses/2, cfg.Seed)
 		s := section{specs: []PolicySpec{specDRRIP(1.0 / 32), specSPDP(pdNB, false), specSPDP(pdB, true)}}
 		for _, spec := range s.specs {
 			mon := newOccMonitor(LLCSets, LLCWays)
-			s.runs = append(s.runs, RunSingleMonitored(cfg.Bench(b), spec, cfg.Accesses, cfg.Seed, mon))
+			s.runs = append(s.runs, RunSingleMonitored(rb, spec, cfg.Accesses, cfg.Seed, mon))
 			s.mons = append(s.mons, mon)
 		}
 		return s, nil
@@ -261,8 +266,10 @@ func Fig9(cfg Config) error {
 	configs := []PolicySpec{mk(true, 1), mk(false, 1), mk(false, 2), mk(false, 4), mk(false, 8)}
 	suite := workload.Suite()
 	// Column 0 (the Full configuration) doubles as the normalization base.
+	streams := newRowStreams(cfg, suite, cfg.Accesses, len(configs))
 	grid, err := parallel.Grid(cfg.jobs(), len(suite), len(configs), func(r, c int) (RunResult, error) {
-		return RunSingle(cfg.Bench(suite[r]), configs[c], cfg.Accesses, cfg.Seed), nil
+		defer streams[r].done()
+		return RunSingle(streams[r].bench(), configs[c], cfg.Accesses, cfg.Seed), nil
 	})
 	if err != nil {
 		return err
@@ -312,13 +319,13 @@ func Fig10(cfg Config) error {
 	}
 	all := workload.All()
 	rows, err := parallel.Map(cfg.jobs(), len(all), func(i int) (row, error) {
-		b := all[i]
-		out := row{base: RunSingle(cfg.Bench(b), specDIP(), cfg.Accesses, cfg.Seed)}
+		b := newRowStream(cfg, all[i], cfg.Accesses).bench()
+		out := row{base: RunSingle(b, specDIP(), cfg.Accesses, cfg.Seed)}
 		out.results = make([]RunResult, 0, len(specs)+1)
 		for _, s := range specs {
-			out.results = append(out.results, RunSingle(cfg.Bench(b), s, cfg.Accesses, cfg.Seed))
+			out.results = append(out.results, RunSingle(b, s, cfg.Accesses, cfg.Seed))
 		}
-		spdpb, _ := bestOver(cfg.Bench(b), coarse, func(pd int) PolicySpec { return specSPDP(pd, true) }, cfg.Accesses, cfg.Seed)
+		spdpb, _ := bestOver(b, coarse, func(pd int) PolicySpec { return specSPDP(pd, true) }, cfg.Accesses, cfg.Seed)
 		spdpb.Policy = "SPDP-B"
 		out.results = append(out.results, spdpb)
 		return out, nil
@@ -397,9 +404,18 @@ func Fig11(cfg Config) error {
 			return core.New(core.Config{Sets: s, Ways: w, Bypass: true, RecomputeEvery: iv})
 		}}
 	}
+	// One grid serves fig11a (a PDP-8 per interval) and fig11b (DIP, DRRIP
+	// and PDP-8 at 64K), so each phased model's stream is recorded once.
+	var cols []PolicySpec
+	for _, iv := range intervals {
+		cols = append(cols, mkPDP(iv))
+	}
+	cols = append(cols, specDIP(), specDRRIP(1.0/32), mkPDP(65536))
 	phased := workload.Phased()
-	gridA, err := parallel.Grid(cfg.jobs(), len(phased), len(intervals), func(r, c int) (RunResult, error) {
-		return RunSingle(cfg.Bench(phased[r]), mkPDP(intervals[c]), cfg.Accesses*2, cfg.Seed), nil
+	streams := newRowStreams(cfg, phased, cfg.Accesses*2, len(cols))
+	grid, err := parallel.Grid(cfg.jobs(), len(phased), len(cols), func(r, c int) (RunResult, error) {
+		defer streams[r].done()
+		return RunSingle(streams[r].bench(), cols[c], cfg.Accesses*2, cfg.Seed), nil
 	})
 	if err != nil {
 		return err
@@ -411,27 +427,21 @@ func Fig11(cfg Config) error {
 	}
 	fmt.Fprintln(tw)
 	for r, b := range phased {
-		base := gridA[r][0].IPC
+		base := grid[r][0].IPC
 		fmt.Fprint(tw, b.Name)
 		for c := range intervals {
-			fmt.Fprintf(tw, "\t%.3f", gridA[r][c].IPC/base)
+			fmt.Fprintf(tw, "\t%.3f", grid[r][c].IPC/base)
 		}
 		fmt.Fprintln(tw)
 	}
 	tw.Flush()
 
 	header(cfg.Out, "fig11b", "Policies on phase-changing benchmarks (IPC improvement over DIP)")
-	specsB := []PolicySpec{specDIP(), specDRRIP(1.0 / 32), mkPDP(65536)}
-	gridB, err := parallel.Grid(cfg.jobs(), len(phased), len(specsB), func(r, c int) (RunResult, error) {
-		return RunSingle(cfg.Bench(phased[r]), specsB[c], cfg.Accesses*2, cfg.Seed), nil
-	})
-	if err != nil {
-		return err
-	}
 	tw = table(cfg.Out)
 	fmt.Fprintln(tw, "benchmark\tDRRIP\tPDP-8")
 	for r, b := range phased {
-		base, d, p := gridB[r][0], gridB[r][1], gridB[r][2]
+		rowB := grid[r][len(intervals):]
+		base, d, p := rowB[0], rowB[1], rowB[2]
 		fmt.Fprintf(tw, "%s\t%s\t%s\n", b.Name,
 			fmtPct(metrics.Improvement(d.IPC, base.IPC)),
 			fmtPct(metrics.Improvement(p.IPC, base.IPC)))
@@ -472,8 +482,9 @@ func Fig11(cfg Config) error {
 // lines with PD = 1 beats both the computed PD and the best static PD.
 func Sec63(cfg Config) error {
 	header(cfg.Out, "sec63", "429.mcf: insertion with PD=1 (miss reduction vs DIP)")
-	b, _ := workload.ByName("429.mcf")
-	base := RunSingle(cfg.Bench(b), specDIP(), cfg.Accesses, cfg.Seed)
+	mcf, _ := workload.ByName("429.mcf")
+	b := newRowStream(cfg, mcf, cfg.Accesses).bench()
+	base := RunSingle(b, specDIP(), cfg.Accesses, cfg.Seed)
 	recompute := uint64(cfg.Accesses / 8)
 	specs := []PolicySpec{
 		specDRRIP(1.0 / 32),
@@ -490,10 +501,10 @@ func Sec63(cfg Config) error {
 	// Tasks 0..len(specs)-1 are the policy runs, the last is the SPDP-B sweep.
 	cells, err := parallel.Map(cfg.jobs(), len(specs)+1, func(i int) (cell, error) {
 		if i == len(specs) {
-			r, pd := bestOver(cfg.Bench(b), staticPDs(), func(pd int) PolicySpec { return specSPDP(pd, true) }, cfg.Accesses, cfg.Seed)
+			r, pd := bestOver(b, staticPDs(), func(pd int) PolicySpec { return specSPDP(pd, true) }, cfg.Accesses, cfg.Seed)
 			return cell{r: r, pd: pd}, nil
 		}
-		return cell{r: RunSingle(cfg.Bench(b), specs[i], cfg.Accesses, cfg.Seed)}, nil
+		return cell{r: RunSingle(b, specs[i], cfg.Accesses, cfg.Seed)}, nil
 	})
 	if err != nil {
 		return err
@@ -613,8 +624,10 @@ func Sec65(cfg Config) error {
 	}
 	cols := []PolicySpec{specDRRIP(1.0 / 32), mk("PDP", core.PFNormal),
 		mk("PDP-pd1", core.PFInsertPD1), mk("PDP-byp", core.PFBypass)}
+	streams := newRowStreams(cfg, bs, cfg.Accesses, len(cols))
 	grid, err := parallel.Grid(cfg.jobs(), len(bs), len(cols), func(r, c int) (RunResult, error) {
-		return runPrefetch(bs[r], cols[c], cfg.Accesses, cfg.Seed, true), nil
+		defer streams[r].done()
+		return runPrefetch(streams[r].replay(), cols[c], cfg.Accesses, cfg.Seed, true), nil
 	})
 	if err != nil {
 		return err

@@ -118,9 +118,10 @@ func Fig6(cfg Config) error {
 		if !ok {
 			return fig6Row{}, fmt.Errorf("unknown benchmark %s", benches[i])
 		}
-		row := fig6Row{arr: measureRDD(b, 4, cfg.Accesses, cfg.Seed)}
+		stream := newRowStream(cfg, b, cfg.Accesses)
+		row := fig6Row{arr: measureRDD(stream.replay(), 4, cfg.Accesses, cfg.Seed)}
 		for dp := 16; dp <= 256; dp += 16 {
-			row.runs = append(row.runs, RunSingle(cfg.Bench(b), specSPDP(dp, true), cfg.Accesses, cfg.Seed))
+			row.runs = append(row.runs, RunSingle(stream.bench(), specSPDP(dp, true), cfg.Accesses, cfg.Seed))
 		}
 		return row, nil
 	})

@@ -16,13 +16,15 @@ import (
 // count. The sample covers each parallel shape — Grid with a shared base
 // column (fig2), the Map over measured RDDs (fig5b), Grid with the base
 // doubling as the normalization column (fig9), a Map whose last task is a
-// sweep (sec63), and the mix x policy grid plus the parallel stand-alone
-// baselines (fig12).
+// sweep (sec63), the mix x policy grid plus the parallel stand-alone
+// baselines (fig12), a Map whose rows replay one recorded stream to every
+// run (fig10), and a Grid whose columns share their row's recording
+// across workers (fig11).
 func TestTablesByteIdenticalAcrossJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow determinism test")
 	}
-	for _, id := range []string{"fig2", "fig5b", "fig9", "sec63", "fig12"} {
+	for _, id := range []string{"fig2", "fig5b", "fig9", "sec63", "fig12", "fig10", "fig11"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			e, ok := ByID(id)

@@ -18,7 +18,8 @@ type guardedGen struct {
 	ctx   context.Context
 	hb    *Heartbeat
 	every int
-	n     int64
+	left  int   // accesses until the next check
+	n     int64 // accesses generated up to the last check
 }
 
 // GuardGenerator wraps g so that every `every` generated accesses (<= 0
@@ -36,7 +37,7 @@ func GuardGenerator(ctx context.Context, g trace.Generator, every int, hb *Heart
 	if every <= 0 {
 		every = DefaultGuardEvery
 	}
-	return &guardedGen{g: g, ctx: ctx, hb: hb, every: every}
+	return &guardedGen{g: g, ctx: ctx, hb: hb, every: every, left: every}
 }
 
 // Name implements trace.Generator.
@@ -47,8 +48,9 @@ func (g *guardedGen) Reset() { g.g.Reset() }
 
 // Next implements trace.Generator.
 func (g *guardedGen) Next() trace.Access {
-	g.n++
-	if g.n%int64(g.every) == 0 {
+	if g.left--; g.left == 0 {
+		g.left = g.every
+		g.n += int64(g.every)
 		if err := g.ctx.Err(); err != nil {
 			panic(cancelAbort{err: err})
 		}
